@@ -91,9 +91,22 @@ cargo test -p sparklite --offline -q --lib batch::tests::sort
 cargo test -p sparklite --offline -q --lib batch::tests::group
 cargo test -p sparklite --offline -q --lib batch::tests::bucket_merge
 
+# FLWOR-fusion gate: the local-vs-distributed differential over the fused
+# for/let/where prefix shapes (cleaning chain, lets before a mixed-type
+# group key, sort + count, redeclaration, nested for on the frame path)
+# and the fused-prefix unit tests (dead lets never evaluated, cast errors
+# keep the local error code), re-run by name. The vendored proptest derives
+# every case's seed from the test name, so each run replays the same cases.
+step "flwor fusion (differentials + unit tests, fixed seeds)"
+cargo test -p rumble-core --offline -q --test proptest_engine local_and_distributed_agree
+cargo test -p rumble-core --offline -q --lib flwor::tests
+cargo test -p rumble-core --offline -q --lib explain_analyze_reports_fused
+
 if [[ "$QUICK" -eq 0 ]]; then
-  step "cargo build --release"
-  cargo build --release --offline
+  # --workspace: the harness smokes below need the rumble-bench binary,
+  # which a plain build of the root package does not produce.
+  step "cargo build --release --workspace"
+  cargo build --release --workspace --offline
 
   # Smoke the cache figure end to end: the harness itself dies unless every
   # fault-free persisted configuration has warm <= cold, cache hits, and

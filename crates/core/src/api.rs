@@ -365,16 +365,27 @@ mod tests {
         let lines: String =
             (0..40).map(|i| format!("{{\"country\": \"c{}\", \"pop\": {}}}\n", i % 4, i)).collect();
         r.hdfs_put("/fused.json", &lines).unwrap();
-        // let + where cannot take the fused-RDD shortcut (the let breaks the
-        // scan shape), so this runs through the DataFrame mapping where the
-        // columnar compiler collapses the adjacent project + filter into one
-        // batch pass — and the profile says so.
+        // A for/let/where prefix runs as one fused flatMap over the items.
         let q = "for $e in json-file(\"hdfs:///fused.json\")
                  let $c := $e.country
                  where $c eq \"c1\"
                  return $c";
         let report = r.analyze_profile(q).unwrap();
         assert_eq!(report.items.len(), 10);
+        assert_eq!(report.items, r.run(q).unwrap());
+        assert!(report.plan.contains("mode=rdd (fused)"), "plan:\n{}", report.plan);
+        assert!(!report.plan.contains("mode=dataframe"), "plan:\n{}", report.plan);
+
+        // A let + where after a group by still runs on the DataFrame
+        // mapping, where the columnar compiler collapses the adjacent
+        // project + filter into one batch pass — and the profile says so.
+        let q = "for $e in json-file(\"hdfs:///fused.json\")
+                 group by $c := $e.country
+                 let $n := count($e)
+                 where $n eq 10 and $c ne \"c1\"
+                 return $c";
+        let report = r.analyze_profile(q).unwrap();
+        assert_eq!(report.items.len(), 3);
         assert_eq!(report.items, r.run(q).unwrap());
         assert!(report.plan.contains("mode=dataframe (fused)"), "plan:\n{}", report.plan);
 

@@ -355,7 +355,18 @@ impl Compiler {
                             })
                         })
                         .collect::<Result<Vec<_>>>()?;
-                    chain = Some(Arc::new(OrderByClauseIter { parent, specs: compiled }));
+                    // Variables the rest of the FLWOR never reads are not
+                    // carried through the sort (§4.7's "does not create the
+                    // column at all").
+                    let carried = parent
+                        .out_vars()
+                        .iter()
+                        .filter(|v| {
+                            analyze_usage(v, &clauses[i + 1..], &ret) != NonGroupingUsage::Unused
+                        })
+                        .cloned()
+                        .collect();
+                    chain = Some(Arc::new(OrderByClauseIter { parent, specs: compiled, carried }));
                 }
                 ast::Clause::GroupBy(specs) => {
                     let parent = chain.take().expect("parser guarantees an initial clause");

@@ -8,7 +8,8 @@
 //! all").
 
 use super::{
-    bin_of, ctx_from_row, ClauseIterator, ClauseRef, FusedScan, Tuple, TupleCursor, TupleFrame,
+    bin_of, ctx_from_row, ClauseIterator, ClauseRef, FusedScan, FusedStep, Tuple, TupleCursor,
+    TupleFrame,
 };
 use crate::error::{codes, Result, RumbleError};
 use crate::item::{decode_items, group_key, seq, Item};
@@ -183,7 +184,7 @@ impl ClauseIterator for ForClauseIter {
         Some(FusedScan {
             var: Arc::clone(&self.var),
             source: Arc::clone(&self.expr),
-            predicates: Vec::new(),
+            steps: Vec::new(),
         })
     }
 
@@ -313,6 +314,18 @@ impl ClauseIterator for LetClauseIter {
         self.parent.as_ref().is_some_and(|p| p.is_unit_var(var))
     }
 
+    fn fused_scan(&self) -> Option<FusedScan> {
+        // Only a non-initial `let` continues a prefix: an initial one is
+        // local (§4.5).
+        let mut scan = self.parent.as_ref()?.fused_scan()?;
+        scan.steps.push(FusedStep::Let {
+            var: Arc::clone(&self.var),
+            expr: Arc::clone(&self.expr),
+            uses: self.uses.clone(),
+        });
+        Some(scan)
+    }
+
     fn tuples(&self, ctx: &DynamicContext) -> Result<TupleCursor> {
         let var = Arc::clone(&self.var);
         let expr = Arc::clone(&self.expr);
@@ -367,11 +380,11 @@ impl ClauseIterator for WhereClauseIter {
     }
 
     fn fused_scan(&self) -> Option<FusedScan> {
-        // A `where` over a fused scan stays fused: with only the initial
-        // `for` in scope, the predicate sees exactly `$var` plus the
-        // driver context the filter closure captures.
         let mut scan = self.parent.fused_scan()?;
-        scan.predicates.push(Arc::clone(&self.predicate));
+        scan.steps.push(FusedStep::Where {
+            predicate: Arc::clone(&self.predicate),
+            uses: self.uses.clone(),
+        });
         Some(scan)
     }
 
@@ -516,6 +529,158 @@ impl GroupByClauseIter {
         }
         GroupByClauseIter { parent, keys, nongrouping, out }
     }
+
+    fn key_specs(&self) -> GroupKeySpecs {
+        Arc::new(self.keys.iter().map(|s| (s.expr.clone(), Arc::clone(&s.var))).collect())
+    }
+
+    /// The non-grouping variables the grouping input carries, and whether
+    /// only their sequence length is needed: materialized ones as their
+    /// `Bin` cell, count-only ones as a `__len_` column — except unit
+    /// variables (bound by `for`/`count`, always exactly one item), whose
+    /// count is simply the row count.
+    fn carried(&self) -> Vec<(Arc<str>, bool)> {
+        self.nongrouping
+            .iter()
+            .filter_map(|(var, usage)| match usage {
+                NonGroupingUsage::Unused => None,
+                NonGroupingUsage::Materialize => Some((Arc::clone(var), false)),
+                NonGroupingUsage::CountOnly if self.parent.is_unit_var(var) => None,
+                NonGroupingUsage::CountOnly => Some((Arc::clone(var), true)),
+            })
+            .collect()
+    }
+
+    /// Steps 1–2 from the items of a fused prefix: one closure runs the
+    /// prefix, computes the native key cells and encodes only the carried
+    /// variables.
+    fn fused_input(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<DataFrame> {
+        let specs = self.key_specs();
+        let carried = self.carried();
+        let mut fields = group_key_fields(self.keys.len());
+        let mut live: Vec<Arc<str>> = self.keys.iter().flat_map(|k| k.uses.clone()).collect();
+        for (var, len_only) in &carried {
+            fields.push(match len_only {
+                true => Field::new(format!("__len_{var}"), DataType::I64),
+                false => Field::new(var.as_ref(), DataType::Bin),
+            });
+            live.push(Arc::clone(var));
+        }
+        let width = fields.len();
+        let (rdd, eval) = scan.plan(ctx, &live)?;
+        let rows = eval.flat_map(rdd, move |ctx| {
+            let mut row = Vec::with_capacity(width);
+            group_key_cells(&specs, ctx, &mut row)?;
+            for (var, len_only) in &carried {
+                let value = ctx.lookup(var).unwrap_or_else(crate::item::empty_seq);
+                row.push(match len_only {
+                    true => Value::I64(value.len() as i64),
+                    false => bin_of(&value),
+                });
+            }
+            Ok([row])
+        });
+        Ok(DataFrame::from_rdd(Schema::new(fields), &rows))
+    }
+
+    /// Steps 1–2 over the parent's tuple frame.
+    fn frame_input(&self, mut df: DataFrame, ctx: &DynamicContext) -> Result<DataFrame> {
+        // Step 1 (§4.7): for each key, three native columns — type tag,
+        // string value, double value — that Spark SQL can group on. All
+        // keys are computed by ONE UDF so the row's variables are decoded
+        // once, then the native cells are cheap extractions.
+        let all_keys_udf = {
+            let base = ctx.enter_executor();
+            let specs = self.key_specs();
+            let mut uses: Vec<Arc<str>> = Vec::new();
+            for u in self.keys.iter().flat_map(|k| &k.uses) {
+                if !uses.contains(u) {
+                    uses.push(Arc::clone(u));
+                }
+            }
+            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
+            DfExpr::udf("groupkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
+                let child = ctx_from_row(&base, schema, row, &uses);
+                let mut cells = Vec::with_capacity(specs.len() * 3);
+                if let Err(e) = group_key_cells(&specs, &child, &mut cells) {
+                    task_bail(e)
+                }
+                Value::List(Arc::new(cells))
+            })
+        };
+        df = df.with_column("__keys", all_keys_udf, DataType::List)?;
+        for (cell, field) in group_key_fields(self.keys.len()).into_iter().enumerate() {
+            let extract = DfExpr::udf(
+                field.name.clone(),
+                Some(vec!["__keys".to_string()]),
+                move |schema: &Schema, row: &[Value]| {
+                    let idx = schema.index_of("__keys").expect("encoded column exists");
+                    match &row[idx] {
+                        Value::List(l) => l[cell].clone(),
+                        _ => task_bail("encoded key must be a list"),
+                    }
+                },
+            );
+            df = df.with_column(field.name, extract, field.dtype)?;
+        }
+        df = df.drop_columns(&["__keys"])?;
+
+        // Step 2: pre-compute sequence lengths for count-only variables.
+        for (var, len_only) in self.carried() {
+            if !len_only {
+                continue;
+            }
+            let var2 = Arc::clone(&var);
+            let len_udf = DfExpr::udf(
+                format!("len ${var}"),
+                Some(vec![var.to_string()]),
+                move |schema: &Schema, row: &[Value]| {
+                    let idx = schema.index_of(&var2).expect("variable column exists");
+                    let Value::Bin(b) = &row[idx] else { task_bail("variable column must be Bin") };
+                    match decode_items(b) {
+                        Ok(items) => Value::I64(items.len() as i64),
+                        Err(e) => task_bail(e),
+                    }
+                },
+            );
+            df = df.with_column(format!("__len_{var}"), len_udf, DataType::I64)?;
+        }
+        Ok(df)
+    }
+}
+
+/// Grouping keys as evaluated per tuple: `(expr, var)`, where a bare
+/// `$var` key has no expression.
+type GroupKeySpecs = Arc<Vec<(Option<ExprRef>, Arc<str>)>>;
+
+/// The native key columns of §4.7, three per key: `__k{i}t` (type tag),
+/// `__k{i}s` (string value), `__k{i}d` (double value).
+fn group_key_fields(keys: usize) -> Vec<Field> {
+    (0..keys)
+        .flat_map(|i| {
+            [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64)]
+                .map(|(suffix, dtype)| Field::new(format!("__k{i}{suffix}"), dtype))
+        })
+        .collect()
+}
+
+/// Appends the §4.7 native cells of every grouping key evaluated in `ctx`
+/// (the layout of [`group_key_fields`]). The one encoding of grouping keys
+/// into cells, shared by the fused row builder and the frame-path UDF.
+fn group_key_cells(
+    specs: &GroupKeySpecs,
+    ctx: &DynamicContext,
+    cells: &mut Vec<Value>,
+) -> Result<()> {
+    for (expr, var) in specs.iter() {
+        let key = match expr {
+            Some(e) => group_key(&e.materialize(ctx)?)?,
+            None => group_key(ctx.lookup(var).as_deref().map_or(&[], |s| s.as_slice()))?,
+        };
+        let (t, s, d) = key.encode();
+        cells.extend([Value::I64(t), Value::Str(s), Value::F64(d)]);
+    }
+    Ok(())
 }
 
 /// Accumulated per-group state on the local path.
@@ -604,105 +769,21 @@ impl ClauseIterator for GroupByClauseIter {
     }
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let mut df = f.df;
-
-        // Step 1 (§4.7): for each key, three native columns — type tag,
-        // string value, double value — that Spark SQL can group on. All
-        // keys are computed by ONE UDF so the row's variables are decoded
-        // once, then the native cells are cheap extractions.
-        let all_keys_udf = {
-            let base = ctx.enter_executor();
-            let specs: Vec<(Option<ExprRef>, Arc<str>)> =
-                self.keys.iter().map(|s| (s.expr.clone(), Arc::clone(&s.var))).collect();
-            let mut uses: Vec<Arc<str>> = Vec::new();
-            for s in &self.keys {
-                let spec_uses =
-                    if s.expr.is_some() { s.uses.clone() } else { vec![Arc::clone(&s.var)] };
-                for u in spec_uses {
-                    if !uses.iter().any(|x| x == &u) {
-                        uses.push(u);
-                    }
-                }
+        // Steps 1–2: the grouping input — key cells plus what the
+        // non-grouping variables contribute — built straight from items
+        // when the parent is a fused prefix, else from the parent's frame.
+        let df = match self.parent.fused_scan() {
+            Some(scan) if scan.is_rdd(ctx) => self.fused_input(scan, ctx)?,
+            _ => {
+                let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+                self.frame_input(f.df, ctx)?
             }
-            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-            DfExpr::udf("groupkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
-                let mut cells = Vec::with_capacity(specs.len() * 3);
-                for (expr, var) in &specs {
-                    let value = match expr {
-                        Some(e) => match e.materialize(&child) {
-                            Ok(v) => v,
-                            Err(e) => task_bail(e),
-                        },
-                        None => child.lookup(var).map(|s| s.to_vec()).unwrap_or_default(),
-                    };
-                    match group_key(&value) {
-                        Ok(k) => {
-                            let (t, s, d) = k.encode();
-                            cells.push(Value::I64(t));
-                            cells.push(Value::Str(s));
-                            cells.push(Value::F64(d));
-                        }
-                        Err(e) => task_bail(e),
-                    }
-                }
-                Value::List(Arc::new(cells))
-            })
         };
-        df = df.with_column("__keys", all_keys_udf, DataType::List)?;
-        for i in 0..self.keys.len() {
-            for (j, (suffix, dtype)) in
-                [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64)]
-                    .into_iter()
-                    .enumerate()
-            {
-                let cell = i * 3 + j;
-                let extract = DfExpr::udf(
-                    format!("__k{i}{suffix}"),
-                    Some(vec!["__keys".to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of("__keys").expect("encoded column exists");
-                        match &row[idx] {
-                            Value::List(l) => l[cell].clone(),
-                            _ => task_bail("encoded key must be a list"),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__k{i}{suffix}"), extract, dtype)?;
-            }
-        }
-        df = df.drop_columns(&["__keys"])?;
-
-        // Step 2: pre-compute sequence lengths for count-only variables —
-        // except unit variables (bound by `for`/`count`, always exactly one
-        // item), whose count is simply the row count.
-        for (var, usage) in &self.nongrouping {
-            if *usage == NonGroupingUsage::CountOnly && !self.parent.is_unit_var(var) {
-                let var2 = Arc::clone(var);
-                let len_udf = DfExpr::udf(
-                    format!("len ${var}"),
-                    Some(vec![var.to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of(&var2).expect("variable column exists");
-                        let Value::Bin(b) = &row[idx] else {
-                            task_bail("variable column must be Bin")
-                        };
-                        match decode_items(b) {
-                            Ok(items) => Value::I64(items.len() as i64),
-                            Err(e) => task_bail(e),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__len_{var}"), len_udf, DataType::I64)?;
-            }
-        }
 
         // Step 3: the native GROUP BY, with SEQUENCE(x) ≈ COLLECT_LIST and
         // the COUNT optimization of §4.7.
-        let key_cols: Vec<String> = (0..self.keys.len())
-            .flat_map(|i| ["t", "s", "d"].into_iter().map(move |s| format!("__k{i}{s}")))
-            .collect();
+        let key_cols: Vec<String> =
+            group_key_fields(self.keys.len()).into_iter().map(|f| f.name).collect();
         let key_col_refs: Vec<&str> = key_cols.iter().map(|s| s.as_str()).collect();
         let mut aggs: Vec<(Agg, String)> = Vec::new();
         for (var, usage) in &self.nongrouping {
@@ -894,9 +975,87 @@ impl OrderKey {
 pub struct OrderByClauseIter {
     pub parent: ClauseRef,
     pub specs: Vec<OrderSpecIter>,
+    /// The in-scope variables a later clause or the return expression
+    /// reads: the only ones the sorted frame carries.
+    pub carried: Vec<Arc<str>>,
 }
 
 impl OrderByClauseIter {
+    fn key_specs(&self) -> OrderKeySpecs {
+        Arc::new(self.specs.iter().map(|sp| (Arc::clone(&sp.expr), sp.empty_greatest)).collect())
+    }
+
+    /// The sort input from the items of a fused prefix: one closure runs
+    /// the prefix, encodes the carried variables and computes the native
+    /// key cells.
+    fn fused_input(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<DataFrame> {
+        let specs = self.key_specs();
+        let carried = self.carried.clone();
+        let mut fields: Vec<Field> =
+            carried.iter().map(|v| Field::new(v.as_ref(), DataType::Bin)).collect();
+        fields.extend(order_key_fields(self.specs.len()));
+        let mut live = carried.clone();
+        live.extend(self.specs.iter().flat_map(|sp| sp.uses.iter().cloned()));
+        let width = fields.len();
+        let (rdd, eval) = scan.plan(ctx, &live)?;
+        let rows = eval.flat_map(rdd, move |ctx| {
+            let mut row = Vec::with_capacity(width);
+            for var in &carried {
+                row.push(bin_of(&ctx.lookup(var).unwrap_or_else(crate::item::empty_seq)));
+            }
+            order_key_cells(&specs, ctx, &mut row)?;
+            Ok([row])
+        });
+        Ok(DataFrame::from_rdd(Schema::new(fields), &rows))
+    }
+
+    /// The sort input over the parent's tuple frame: the columns of the
+    /// carried variables plus the native key cells.
+    fn frame_input(&self, f: TupleFrame, ctx: &DynamicContext) -> Result<DataFrame> {
+        let mut df = f.df;
+        // All keys are computed by ONE UDF (one row decode), then extracted.
+        let all_ord_udf = {
+            let base = ctx.enter_executor();
+            let specs = self.key_specs();
+            let mut uses: Vec<Arc<str>> = Vec::new();
+            for u in self.specs.iter().flat_map(|sp| &sp.uses) {
+                if !uses.contains(u) {
+                    uses.push(Arc::clone(u));
+                }
+            }
+            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
+            DfExpr::udf("orderkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
+                let child = ctx_from_row(&base, schema, row, &uses);
+                let mut cells = Vec::with_capacity(specs.len() * 4);
+                if let Err(e) = order_key_cells(&specs, &child, &mut cells) {
+                    task_bail(e)
+                }
+                Value::List(Arc::new(cells))
+            })
+        };
+        df = df.with_column("__ord", all_ord_udf, DataType::List)?;
+        for (cell, field) in order_key_fields(self.specs.len()).into_iter().enumerate() {
+            let extract = DfExpr::udf(
+                field.name.clone(),
+                Some(vec!["__ord".to_string()]),
+                move |schema: &Schema, row: &[Value]| {
+                    let idx = schema.index_of("__ord").expect("encoded column exists");
+                    match &row[idx] {
+                        Value::List(l) => l[cell].clone(),
+                        _ => task_bail("encoded order key must be a list"),
+                    }
+                },
+            );
+            df = df.with_column(field.name, extract, field.dtype)?;
+        }
+        // Only now drop the variables no later clause reads: a key may
+        // still have needed them.
+        let mut dead: Vec<&str> =
+            f.vars.iter().filter(|v| !self.carried.contains(v)).map(|v| v.as_ref()).collect();
+        dead.push("__ord");
+        Ok(df.drop_columns(&dead)?)
+    }
+
     /// Checks that one key class is compatible with the classes seen so far
     /// for its spec; JSONiq requires an error on e.g. strings mixed with
     /// numbers.
@@ -962,77 +1121,16 @@ impl ClauseIterator for OrderByClauseIter {
     }
 
     fn frame(&self, ctx: &DynamicContext) -> Result<Option<TupleFrame>> {
-        let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
-        let mut df = f.df;
-
         // Encode every sort key into native columns — tag, string, double,
-        // plus a class column for the §4.8 type-discovery pass. All keys
-        // are computed by ONE UDF (one row decode), then extracted.
-        let all_ord_udf = {
-            let base = ctx.enter_executor();
-            let specs: Vec<(ExprRef, bool)> =
-                self.specs.iter().map(|sp| (Arc::clone(&sp.expr), sp.empty_greatest)).collect();
-            let mut uses: Vec<Arc<str>> = Vec::new();
-            for sp in &self.specs {
-                for u in &sp.uses {
-                    if !uses.iter().any(|x| x == u) {
-                        uses.push(Arc::clone(u));
-                    }
-                }
+        // plus a class column for the §4.8 type-discovery pass — straight
+        // from items when the parent is a fused prefix.
+        let df = match self.parent.fused_scan() {
+            Some(scan) if scan.is_rdd(ctx) => self.fused_input(scan, ctx)?,
+            _ => {
+                let Some(f) = self.parent.frame(ctx)? else { return Ok(None) };
+                self.frame_input(f, ctx)?
             }
-            let uses_strings: Vec<String> = uses.iter().map(|u| u.to_string()).collect();
-            DfExpr::udf("orderkeys", Some(uses_strings), move |schema: &Schema, row: &[Value]| {
-                let child = ctx_from_row(&base, schema, row, &uses);
-                let mut cells = Vec::with_capacity(specs.len() * 4);
-                for (expr, empty_greatest) in &specs {
-                    let items = match expr.materialize(&child) {
-                        Ok(v) => v,
-                        Err(e) => task_bail(e),
-                    };
-                    let key = match OrderKey::of(&items) {
-                        Ok(k) => k,
-                        Err(e) => task_bail(e),
-                    };
-                    let (sv, d) = match &key {
-                        OrderKey::Str(sv) => (Arc::clone(sv), 0.0),
-                        OrderKey::Num(n) => (Arc::from(""), *n),
-                        _ => (Arc::from(""), 0.0),
-                    };
-                    cells.push(Value::I64(key.rank(*empty_greatest) as i64));
-                    cells.push(Value::Str(sv));
-                    cells.push(Value::F64(d));
-                    cells.push(Value::I64(key.class().map(|c| c as i64).unwrap_or(0)));
-                }
-                Value::List(Arc::new(cells))
-            })
         };
-        df = df.with_column("__ord", all_ord_udf, DataType::List)?;
-        for i in 0..self.specs.len() {
-            for (j, (suffix, dtype)) in [
-                ("t", DataType::I64),
-                ("s", DataType::Str),
-                ("d", DataType::F64),
-                ("c", DataType::I64),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let cell = i * 4 + j;
-                let extract = DfExpr::udf(
-                    format!("__o{i}{suffix}"),
-                    Some(vec!["__ord".to_string()]),
-                    move |schema: &Schema, row: &[Value]| {
-                        let idx = schema.index_of("__ord").expect("encoded column exists");
-                        match &row[idx] {
-                            Value::List(l) => l[cell].clone(),
-                            _ => task_bail("encoded order key must be a list"),
-                        }
-                    },
-                );
-                df = df.with_column(format!("__o{i}{suffix}"), extract, dtype)?;
-            }
-        }
-        df = df.drop_columns(&["__ord"])?;
 
         // Materialize once: the discovery pass and the sort's sampling +
         // partitioning passes would otherwise each recompute the whole
@@ -1088,11 +1186,50 @@ impl ClauseIterator for OrderByClauseIter {
             sort_keys.push((format!("__o{i}d"), dir));
         }
         let df = df.order_by(sort_keys)?;
-        let drop: Vec<String> = (0..self.specs.len())
-            .flat_map(|i| ["t", "s", "d", "c"].into_iter().map(move |s| format!("__o{i}{s}")))
-            .collect();
+        let drop: Vec<String> =
+            order_key_fields(self.specs.len()).into_iter().map(|f| f.name).collect();
         let drop_refs: Vec<&str> = drop.iter().map(|s| s.as_str()).collect();
         let df = df.drop_columns(&drop_refs)?;
-        Ok(Some(TupleFrame { df, vars: f.vars }))
+        Ok(Some(TupleFrame { df, vars: self.carried.clone() }))
     }
+}
+
+/// Order keys as evaluated per tuple: `(expr, empty greatest)`.
+type OrderKeySpecs = Arc<Vec<(ExprRef, bool)>>;
+
+/// The native sort-key columns of §4.8, four per key: `__o{i}t` (rank),
+/// `__o{i}s` (string value), `__o{i}d` (double value), `__o{i}c` (value
+/// class for type discovery).
+fn order_key_fields(keys: usize) -> Vec<Field> {
+    (0..keys)
+        .flat_map(|i| {
+            [("t", DataType::I64), ("s", DataType::Str), ("d", DataType::F64), ("c", DataType::I64)]
+                .map(|(suffix, dtype)| Field::new(format!("__o{i}{suffix}"), dtype))
+        })
+        .collect()
+}
+
+/// Appends the native cells of every order key evaluated in `ctx` (the
+/// layout of [`order_key_fields`]). The one encoding of order keys into
+/// cells, shared by the fused row builder and the frame-path UDF.
+fn order_key_cells(
+    specs: &OrderKeySpecs,
+    ctx: &DynamicContext,
+    cells: &mut Vec<Value>,
+) -> Result<()> {
+    for (expr, empty_greatest) in specs.iter() {
+        let key = OrderKey::of(&expr.materialize(ctx)?)?;
+        let (sv, d) = match &key {
+            OrderKey::Str(sv) => (Arc::clone(sv), 0.0),
+            OrderKey::Num(n) => (Arc::from(""), *n),
+            _ => (Arc::from(""), 0.0),
+        };
+        cells.extend([
+            Value::I64(key.rank(*empty_greatest) as i64),
+            Value::Str(sv),
+            Value::F64(d),
+            Value::I64(key.class().map(|c| c as i64).unwrap_or(0)),
+        ]);
+    }
+    Ok(())
 }

@@ -12,6 +12,11 @@
 //!   in which case the whole expression falls back to local execution —
 //!   exactly the seamless switching of §5.8.
 //!
+//! A distributed prefix `for $v in <rdd> (let … | where …)*` skips the
+//! per-clause frames ([`ClauseIterator::fused_scan`]): one per-item
+//! evaluator runs it, and its consumer — the return clause, a `group by`
+//! or an `order by` — reads the final context directly.
+//!
 //! The `return` clause lives in [`FlworIter`], which is an ordinary
 //! expression iterator: in DataFrame mode it maps the frame back to an
 //! `Rdd<Item>` with a flatMap (§4.10).
@@ -20,7 +25,7 @@ pub mod clauses;
 
 use crate::error::Result;
 use crate::item::{decode_items, encode_items, Item, Sequence};
-use crate::runtime::{cursor_of, DynamicContext, ExprIterator, ExprRef, ItemCursor};
+use crate::runtime::{cursor_of, eval_ebv, DynamicContext, ExprIterator, ExprRef, ItemCursor};
 use sparklite::dataframe::{DataFrame, Schema, Value};
 use sparklite::rdd::{task_bail, Rdd};
 use std::sync::Arc;
@@ -90,11 +95,13 @@ pub trait ClauseIterator: Send + Sync {
         false
     }
 
-    /// The clause chain as a fused scan — an initial simple `for` over one
-    /// source followed only by `where` filters — if it has that shape.
-    /// Fused pipelines run straight over the item RDD (filter + flatMap)
-    /// without the Bin-column DataFrame detour, so no per-row
-    /// encode/decode happens between the scan and the return clause.
+    /// The clause chain as a fused prefix — an initial simple `for` over one
+    /// source followed by any chain of `let` and `where` clauses — if it has
+    /// that shape. Fused prefixes run straight over the item RDD: one
+    /// per-item evaluator ([`ItemEval`]) turns each item into the final
+    /// dynamic context, with no Bin-column DataFrame detour and so no
+    /// per-row encode/decode between the scan and the consumer (the return
+    /// clause, or the row builder of a `group by` / `order by`).
     fn fused_scan(&self) -> Option<FusedScan> {
         None
     }
@@ -102,11 +109,138 @@ pub trait ClauseIterator: Send + Sync {
 
 pub type ClauseRef = Arc<dyn ClauseIterator>;
 
-/// See [`ClauseIterator::fused_scan`]: `for $var in source where p1 …`.
+/// See [`ClauseIterator::fused_scan`]: `for $var in source` followed by
+/// `let` / `where` steps in clause order.
 pub struct FusedScan {
     pub var: Arc<str>,
     pub source: ExprRef,
-    pub predicates: Vec<ExprRef>,
+    pub steps: Vec<FusedStep>,
+}
+
+/// One clause of a fused prefix after the initial `for`, with the FLWOR
+/// variables its expression reads.
+pub enum FusedStep {
+    Let { var: Arc<str>, expr: ExprRef, uses: Vec<Arc<str>> },
+    Where { predicate: ExprRef, uses: Vec<Arc<str>> },
+}
+
+impl FusedScan {
+    /// Whether the prefix runs over a distributed source in `ctx`.
+    pub fn is_rdd(&self, ctx: &DynamicContext) -> bool {
+        !ctx.in_executor() && self.source.is_rdd(ctx)
+    }
+
+    /// Plans the prefix for a consumer that reads the variables `live`:
+    /// the source RDD, with the leading `where`s that compile to an
+    /// [`ItemPredicate`](crate::runtime::ItemPredicate) applied as plain
+    /// filters (no per-item context), plus the evaluator for the remaining
+    /// steps. A `let` whose variable nothing downstream reads is dropped
+    /// and never evaluated, as `PruneColumns` drops its column on the frame
+    /// path.
+    pub fn plan(self, ctx: &DynamicContext, live: &[Arc<str>]) -> Result<(Rdd<Item>, ItemEval)> {
+        let mut rdd = self.source.rdd(ctx)?;
+        let mut steps = live_steps(self.steps, live).into_iter().peekable();
+        while let Some(FusedStep::Where { predicate, .. }) = steps.peek() {
+            let Some(p) = predicate.item_predicate(&self.var) else { break };
+            rdd = rdd.filter(move |item| match p(item) {
+                Ok(b) => b,
+                Err(e) => task_bail(e),
+            });
+            steps.next();
+        }
+        let eval = ItemEval { var: self.var, base: ctx.enter_executor(), steps: steps.collect() };
+        Ok((rdd, eval))
+    }
+}
+
+/// Drops every `let` whose variable is dead at that point: walking the
+/// steps backwards from the consumer's `live` set, a `let` is kept only if
+/// a later step or the consumer reads its variable.
+fn live_steps(steps: Vec<FusedStep>, live: &[Arc<str>]) -> Vec<FusedStep> {
+    let mut live: Vec<Arc<str>> = live.to_vec();
+    let mut kept = Vec::with_capacity(steps.len());
+    for step in steps.into_iter().rev() {
+        match &step {
+            FusedStep::Let { var, uses, .. } => {
+                let Some(at) = live.iter().position(|v| v == var) else { continue };
+                live.swap_remove(at);
+                live.extend(uses.iter().cloned());
+            }
+            FusedStep::Where { uses, .. } => live.extend(uses.iter().cloned()),
+        }
+        kept.push(step);
+    }
+    kept.reverse();
+    kept
+}
+
+/// The per-item evaluator of a fused prefix: binds the scan variable to
+/// one item, then runs the `let` / `where` steps in clause order.
+pub struct ItemEval {
+    var: Arc<str>,
+    /// Executor-flagged driver context the per-item bindings chain onto.
+    base: DynamicContext,
+    steps: Vec<FusedStep>,
+}
+
+impl ItemEval {
+    /// Whether the scan variable still names the item after the steps:
+    /// no `let` rebinds it.
+    pub fn keeps_item(&self) -> bool {
+        !self.steps.iter().any(|s| matches!(s, FusedStep::Let { var, .. } if *var == self.var))
+    }
+
+    /// Runs the steps over every item of `rdd`, then `consume` over the
+    /// final context of each item they keep; an error in either aborts the
+    /// task with its JSONiq error.
+    pub fn flat_map<U: sparklite::Data, I>(
+        self,
+        rdd: Rdd<Item>,
+        consume: impl Fn(&DynamicContext) -> Result<I> + Send + Sync + 'static,
+    ) -> Rdd<U>
+    where
+        I: IntoIterator<Item = U> + Send + 'static,
+        I::IntoIter: Send + 'static,
+    {
+        rdd.flat_map(move |item| {
+            match self.eval(item).and_then(|ctx| ctx.map(|ctx| consume(&ctx)).transpose()) {
+                Ok(out) => out.into_iter().flatten(),
+                Err(e) => task_bail(e),
+            }
+        })
+    }
+
+    /// The items the steps keep, for a consumer that reads only the item
+    /// itself.
+    pub fn filter(self, rdd: Rdd<Item>) -> Rdd<Item> {
+        if self.steps.is_empty() {
+            return rdd;
+        }
+        rdd.filter(move |item| match self.eval(item.clone()) {
+            Ok(ctx) => ctx.is_some(),
+            Err(e) => task_bail(e),
+        })
+    }
+
+    /// The dynamic context after the last step, or `None` when a `where`
+    /// drops the item.
+    pub fn eval(&self, item: Item) -> Result<Option<DynamicContext>> {
+        let mut ctx = self.base.bind(Arc::clone(&self.var), Arc::new(vec![item]));
+        for step in self.steps.iter() {
+            match step {
+                FusedStep::Let { var, expr, .. } => {
+                    let items = expr.materialize(&ctx)?;
+                    ctx = ctx.bind(Arc::clone(var), Arc::new(items));
+                }
+                FusedStep::Where { predicate, .. } => {
+                    if !eval_ebv(predicate, &ctx)? {
+                        return Ok(None);
+                    }
+                }
+            }
+        }
+        Ok(Some(ctx))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -176,34 +310,15 @@ impl FlworIter {
         Ok(frame)
     }
 
-    /// Builds the fused (DataFrame-free) RDD for scan-shaped pipelines:
-    /// each `where` becomes a filter and the return expression a flatMap,
-    /// all directly over items.
+    /// Builds the fused (DataFrame-free) RDD for prefix-shaped pipelines:
+    /// the prefix's per-item evaluator and the return expression run as one
+    /// flatMap directly over items.
     fn fused_rdd(&self, scan: FusedScan, ctx: &DynamicContext) -> Result<Rdd<Item>> {
-        let mut rdd = scan.source.rdd(ctx)?;
-        let base = ctx.enter_executor();
-        for pred in scan.predicates {
-            // Comparisons over navigation paths on the scan variable compile
-            // to a direct item predicate: no per-item context bind at all.
-            if let Some(p) = pred.item_predicate(&scan.var) {
-                rdd = rdd.filter(move |item| match p(item) {
-                    Ok(b) => b,
-                    Err(e) => task_bail(e),
-                });
-                continue;
-            }
-            let base = base.clone();
-            let var = Arc::clone(&scan.var);
-            rdd = rdd.filter(move |item| {
-                let child = base.bind(Arc::clone(&var), Arc::new(vec![item.clone()]));
-                match pred.ebv(&child) {
-                    Ok(b) => b,
-                    Err(e) => task_bail(e),
-                }
-            });
-        }
-        if let Some(keys) = self.return_expr.key_path(&scan.var) {
-            // `return $v` (or a static path on it) needs no context either.
+        let var = Arc::clone(&scan.var);
+        let (rdd, eval) = scan.plan(ctx, &self.return_uses)?;
+        if let Some(keys) = self.return_expr.key_path(&var).filter(|_| eval.keeps_item()) {
+            // `return $v` (or a static path on it) reads only the item.
+            let rdd = eval.filter(rdd);
             if keys.is_empty() {
                 return Ok(rdd);
             }
@@ -211,15 +326,8 @@ impl FlworIter {
                 rdd.flat_map(move |item| crate::runtime::follow_key_path(&item, &keys).cloned())
             );
         }
-        let var = scan.var;
         let ret = Arc::clone(&self.return_expr);
-        Ok(rdd.flat_map(move |item| {
-            let child = base.bind(Arc::clone(&var), Arc::new(vec![item]));
-            match ret.materialize(&child) {
-                Ok(items) => items,
-                Err(e) => task_bail(e),
-            }
-        }))
+        Ok(eval.flat_map(rdd, move |child| ret.materialize(child)))
     }
 }
 
@@ -239,14 +347,14 @@ impl ExprIterator for FlworIter {
             return false;
         }
         if let Some(scan) = self.last.fused_scan() {
-            return scan.source.is_rdd(ctx);
+            return scan.is_rdd(ctx);
         }
         matches!(self.frame_for(ctx), Ok(Some(_)))
     }
 
     fn rdd(&self, ctx: &DynamicContext) -> Result<Rdd<Item>> {
         if let Some(scan) = self.last.fused_scan() {
-            if !ctx.in_executor() && scan.source.is_rdd(ctx) {
+            if scan.is_rdd(ctx) {
                 return self.fused_rdd(scan, ctx);
             }
         }
@@ -274,10 +382,8 @@ impl ExprIterator for FlworIter {
     }
 
     fn mode_hint(&self, ctx: &DynamicContext) -> Option<&'static str> {
-        if let Some(scan) = self.last.fused_scan() {
-            if !ctx.in_executor() && scan.source.is_rdd(ctx) {
-                return Some("rdd (fused)");
-            }
+        if self.last.fused_scan().is_some_and(|scan| scan.is_rdd(ctx)) {
+            return Some("rdd (fused)");
         }
         if let Ok(Some(frame)) = self.frame_for(ctx) {
             // §4.7/§4.9: DataFrame execution is columnar; report whether the
@@ -355,6 +461,71 @@ mod tests {
         assert_eq!(t2.get("x").unwrap()[0], Item::Integer(9));
         assert_eq!(t2.vars().count(), 2, "redeclaration replaces, not duplicates");
         assert_eq!(t.get("x").unwrap()[0], Item::Integer(1), "original untouched");
+    }
+
+    /// An engine with `/fused-unit.json` holding objects whose `s` field is
+    /// not castable to an integer.
+    fn messy_engine() -> crate::Rumble {
+        let r = crate::Rumble::default_local();
+        let lines: String =
+            (0..20).map(|i| format!("{{\"n\": {}, \"s\": \"x{i}\"}}\n", i % 3)).collect();
+        r.hdfs_put("/fused-unit.json", &lines).unwrap();
+        r
+    }
+
+    #[test]
+    fn unused_fused_let_is_never_evaluated() {
+        let r = messy_engine();
+        // Every shape a fused prefix feeds: the return flatMap, the group-by
+        // rows and the order-by rows. `$bad` would raise on every item.
+        for (q, expected) in [
+            (
+                "for $e in json-file(\"hdfs:///fused-unit.json\")
+                 let $bad := $e.s cast as integer
+                 where $e.n eq 1
+                 return $e.n",
+                7,
+            ),
+            (
+                "for $e in json-file(\"hdfs:///fused-unit.json\")
+                 let $bad := $e.s cast as integer
+                 group by $n := $e.n
+                 return count($e)",
+                3,
+            ),
+            (
+                "for $e in json-file(\"hdfs:///fused-unit.json\")
+                 let $bad := $e.s cast as integer
+                 order by $e.n
+                 return $e.n",
+                20,
+            ),
+        ] {
+            let prepared = r.compile(q).unwrap();
+            assert!(prepared.is_distributed().unwrap(), "{q}");
+            assert_eq!(prepared.collect().unwrap().len(), expected, "{q}");
+        }
+        // A read of the same variable makes the let live again.
+        let used = "for $e in json-file(\"hdfs:///fused-unit.json\")
+                    let $bad := $e.s cast as integer
+                    return $bad";
+        assert!(r.run(used).is_err());
+    }
+
+    #[test]
+    fn fused_let_cast_failure_matches_local_error_code() {
+        let r = messy_engine();
+        let body = "let $i := $e.s cast as integer
+                    where $e.n ge 0
+                    return $i + 1";
+        let dist = format!("for $e in json-file(\"hdfs:///fused-unit.json\") {body}");
+        let local = format!("let $a := json-file(\"hdfs:///fused-unit.json\") for $e in $a {body}");
+        assert!(r.compile(&dist).unwrap().is_distributed().unwrap());
+        assert!(!r.compile(&local).unwrap().is_distributed().unwrap());
+        let dist_err = r.run(&dist).unwrap_err();
+        let local_err = r.run(&local).unwrap_err();
+        assert_eq!(dist_err.code, local_err.code, "{dist_err} vs {local_err}");
+        assert_eq!(local_err.code, crate::error::codes::INVALID_CAST);
     }
 
     #[test]

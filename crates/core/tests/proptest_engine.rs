@@ -144,30 +144,38 @@ proptest! {
 
     #[test]
     fn local_and_distributed_agree(
-        rows in prop::collection::vec((0u8..6, -50i64..50, any::<bool>()), 1..60),
+        rows in prop::collection::vec((0u8..6, -50i64..50, any::<bool>(), 0u8..6), 1..60),
         parts in 1usize..5,
     ) {
         let sc = SparkliteContext::new(SparkliteConf::default().with_executors(2));
         let r = Rumble::new(sc);
         let mut lines = String::new();
-        for (k, v, flag) in &rows {
-            // A messy field: `extra` is sometimes a bool, sometimes absent.
-            if *flag {
-                lines.push_str(&format!("{{\"k\": {k}, \"v\": {v}, \"extra\": true}}\n"));
-            } else {
-                lines.push_str(&format!("{{\"k\": {k}, \"v\": {v}}}\n"));
-            }
+        for (k, v, flag, m) in &rows {
+            // Messy fields: `extra` is sometimes a bool, sometimes absent;
+            // `m` is absent, an integer, a numeric string, null, an array
+            // or a decimal.
+            let m = match m {
+                0 => String::new(),
+                1 => format!(", \"m\": {v}"),
+                2 => format!(", \"m\": \"{k}\""),
+                3 => ", \"m\": null".to_string(),
+                4 => format!(", \"m\": [{k}, {v}, {k}]"),
+                _ => ", \"m\": 1.5".to_string(),
+            };
+            let extra = if *flag { ", \"extra\": true" } else { "" };
+            lines.push_str(&format!("{{\"k\": {k}, \"v\": {v}{extra}{m}}}\n"));
         }
         r.sparklite().hdfs().delete("/prop.json");
         r.hdfs_put("/prop.json", &lines).unwrap();
         let _ = parts;
 
-        for (dist_q, local_q) in [
+        for (dist_q, local_q, sorted) in [
             // filter
             (
                 r#"for $r in json-file("hdfs:///prop.json") where $r.v ge 0 return $r.v"#,
                 r#"let $a := json-file("hdfs:///prop.json")
                    for $r in $a where $r.v ge 0 return $r.v"#,
+                false,
             ),
             // group with count + sum over a messy field
             (
@@ -180,6 +188,7 @@ proptest! {
                    group by $k := $r.k
                    order by $k
                    return [$k, count($r), count(for $x in $r where $x.extra return $x)]"#,
+                false,
             ),
             // multi-key sort with count clause
             (
@@ -192,15 +201,181 @@ proptest! {
                    order by $r.k ascending, $r.v descending
                    count $c
                    return [$c, $r.k, $r.v]"#,
+                false,
+            ),
+            // §3.4-style cleaning chain over the messy field, fused into
+            // one per-item pass
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $m := if ($r.m instance of string) then ($r.m cast as integer)
+                             else if ($r.m instance of array) then $r.m[]
+                             else $r.m
+                   where exists($m) or $r.extra
+                   let $tags := distinct-values(($m, $r.k))
+                   let $drop := $r.v instance of string or $r.v lt -40
+                   where not($drop)
+                   return { "k": $r.k, "m": [ $m ], "tags": [ $tags ], "big": $r.v gt 10 }"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $m := if ($r.m instance of string) then ($r.m cast as integer)
+                             else if ($r.m instance of array) then $r.m[]
+                             else $r.m
+                   where exists($m) or $r.extra
+                   let $tags := distinct-values(($m, $r.k))
+                   let $drop := $r.v instance of string or $r.v lt -40
+                   where not($drop)
+                   return { "k": $r.k, "m": [ $m ], "tags": [ $tags ], "big": $r.v gt 10 }"#,
+                false,
+            ),
+            // lets before a mixed-type group key, with count-only ($r, $x)
+            // and materialized ($w) non-grouping variables; groups come out
+            // in partition order, so compare as multisets
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $g := if ($r.m instance of array) then () else $r.m
+                   let $w := $r.v
+                   let $x := $r.extra
+                   group by $key := $g
+                   return [ $key, count($r), count($x), sum($w) ]"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $g := if ($r.m instance of array) then () else $r.m
+                   let $w := $r.v
+                   let $x := $r.extra
+                   group by $key := $g
+                   return [ $key, count($r), count($x), sum($w) ]"#,
+                true,
+            ),
+            // let + where before a multi-key sort, then count; $u is never
+            // read and is not carried through the sort
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $s := $r.v * 2
+                   let $u := $r.m
+                   where $s ne 0
+                   order by $r.k ascending, $s descending
+                   count $c
+                   return [$c, $r.k, $s]"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $s := $r.v * 2
+                   let $u := $r.m
+                   where $s ne 0
+                   order by $r.k ascending, $s descending
+                   count $c
+                   return [$c, $r.k, $s]"#,
+                false,
+            ),
+            // a let that only feeds a where, then a path on the item itself
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $a := $r.v * 2
+                   where $a gt 10
+                   return $r.k"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $a := $r.v * 2
+                   where $a gt 10
+                   return $r.k"#,
+                false,
+            ),
+            // a redeclared variable, through a fused return and a sort
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $r := $r.v
+                   where $r gt 0
+                   return $r * 10"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $r := $r.v
+                   where $r gt 0
+                   return $r * 10"#,
+                false,
+            ),
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $k := $r.k
+                   let $r := $r.v
+                   order by $r descending, $k
+                   return [$k, $r]"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $k := $r.k
+                   let $r := $r.v
+                   order by $r descending, $k
+                   return [$k, $r]"#,
+                false,
+            ),
+            // sort keys that read variables no later clause reads, on the
+            // fused and on the per-clause frame path (nested for)
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $s := $r.v * 2
+                   order by $s, $r.k
+                   return $r.k"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $s := $r.v * 2
+                   order by $s, $r.k
+                   return $r.k"#,
+                false,
+            ),
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   for $x in ($r.v, $r.k)
+                   order by $x descending, $r.v, $r.k
+                   return [$r.k, $r.v]"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   for $x in ($r.v, $r.k)
+                   order by $x descending, $r.v, $r.k
+                   return [$r.k, $r.v]"#,
+                false,
+            ),
+            // a nested for after a let stays on the per-clause frame path
+            (
+                r#"for $r in json-file("hdfs:///prop.json")
+                   let $vals := ($r.v, $r.k)
+                   for $x in $vals
+                   where $x gt 0
+                   return [$r.k, $x]"#,
+                r#"let $a := json-file("hdfs:///prop.json")
+                   for $r in $a
+                   let $vals := ($r.v, $r.k)
+                   for $x in $vals
+                   where $x gt 0
+                   return [$r.k, $x]"#,
+                false,
             ),
         ] {
             let dist = r.compile(dist_q).unwrap();
             prop_assert!(dist.is_distributed().unwrap());
             let local = r.compile(local_q).unwrap();
             prop_assert!(!local.is_distributed().unwrap());
-            let a: Vec<String> = dist.collect().unwrap().iter().map(|i| i.serialize()).collect();
-            let b: Vec<String> = local.collect().unwrap().iter().map(|i| i.serialize()).collect();
+            let mut a: Vec<String> =
+                dist.collect().unwrap().iter().map(|i| i.serialize()).collect();
+            let mut b: Vec<String> =
+                local.collect().unwrap().iter().map(|i| i.serialize()).collect();
+            if sorted {
+                a.sort();
+                b.sort();
+            }
             prop_assert_eq!(a, b, "divergence on {}", dist_q);
         }
+        // Which physical path each prefix shape takes: `let`/`where`
+        // chains fuse into the item scan, a nested `for` does not.
+        let mode = |q: &str| {
+            let plan = r.analyze_profile(q).unwrap().plan;
+            plan.lines().next().unwrap_or_default().to_string()
+        };
+        let fused = mode(
+            r#"for $r in json-file("hdfs:///prop.json") let $r := $r.v where $r gt 0 return $r"#,
+        );
+        prop_assert!(fused.contains("mode=rdd (fused)"), "{}", fused);
+        let nested = mode(
+            r#"for $r in json-file("hdfs:///prop.json")
+               let $vals := ($r.v, $r.k) for $x in $vals return $x"#,
+        );
+        prop_assert!(nested.contains("mode=dataframe"), "{}", nested);
     }
 }

@@ -100,11 +100,10 @@ impl<T: Data> Rdd<T> {
 
     pub fn flat_map<U: Data, I>(&self, f: impl Fn(T) -> I + Send + Sync + 'static) -> Rdd<U>
     where
-        I: IntoIterator<Item = U>,
+        I: IntoIterator<Item = U> + 'static,
         I::IntoIter: Send + 'static,
     {
-        let g = move |t: T| -> BoxIter<U> { Box::new(f(t).into_iter()) };
-        let op = FlatMapRdd { parent: Arc::clone(&self.op), f: Arc::new(g) };
+        let op = FlatMapRdd { parent: Arc::clone(&self.op), f: Arc::new(f) };
         Rdd::new(Arc::clone(&self.core), Arc::new(op))
     }
 
@@ -410,18 +409,27 @@ impl<T: Data> RddOp<T> for FilterRdd<T> {
     }
 }
 
-pub(crate) struct FlatMapRdd<T: Data, U: Data> {
+/// Generic over the closure so each element's output iterator stays
+/// inline in the partition iterator: no heap allocation per element.
+pub(crate) struct FlatMapRdd<T: Data, F> {
     pub parent: Arc<dyn RddOp<T>>,
-    pub f: Arc<dyn Fn(T) -> BoxIter<U> + Send + Sync>,
+    pub f: Arc<F>,
 }
 
-impl<T: Data, U: Data> Preparable for FlatMapRdd<T, U> {
+impl<T: Data, F: Send + Sync> Preparable for FlatMapRdd<T, F> {
     fn prepare(&self) -> Result<()> {
         self.parent.prepare()
     }
 }
 
-impl<T: Data, U: Data> RddOp<U> for FlatMapRdd<T, U> {
+impl<T, U, I, F> RddOp<U> for FlatMapRdd<T, F>
+where
+    T: Data,
+    U: Data,
+    F: Fn(T) -> I + Send + Sync + 'static,
+    I: IntoIterator<Item = U> + 'static,
+    I::IntoIter: Send + 'static,
+{
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
